@@ -1,6 +1,6 @@
 // Package cfg builds per-procedure control-flow graphs from the
-// structured Fortran AST and derives dominators, postdominators,
-// control dependences and the loop-nest tree used by the dependence
+// structured Fortran AST and derives postdominators, control
+// dependences and the loop-nest tree used by the dependence
 // analyzer and the transformations.
 package cfg
 
@@ -169,10 +169,11 @@ func (b *builder) wireStmt(s fortran.Stmt, n *Node) []*Node {
 }
 
 // ---------------------------------------------------------------------------
-// Dominators (Cooper/Harvey/Kennedy iterative algorithm)
+// Postdominators (Cooper/Harvey/Kennedy iterative algorithm on the
+// reverse graph)
 
-// Dominators holds the immediate-dominator relation for a graph
-// direction (forward = dominators, reverse = postdominators).
+// Dominators holds an immediate-dominator relation; the graph builds
+// it over reverse edges, so it answers postdominance.
 type Dominators struct {
 	idom map[*Node]*Node
 	root *Node
@@ -194,25 +195,15 @@ func (d *Dominators) Dominates(a, b *Node) bool {
 	return false
 }
 
-// ComputeDominators returns the dominator tree rooted at entry.
-func (g *Graph) ComputeDominators() *Dominators {
-	return computeDom(g.Entry, func(n *Node) []*Node { return n.Preds },
-		func(n *Node) []*Node { return n.Succs })
-}
-
 // ComputePostdominators returns the postdominator tree rooted at exit.
 func (g *Graph) ComputePostdominators() *Dominators {
-	return computeDom(g.Exit, func(n *Node) []*Node { return n.Succs },
-		func(n *Node) []*Node { return n.Preds })
-}
-
-func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
-	// Reverse postorder from root following succs.
+	root := g.Exit
+	// Reverse postorder from exit following predecessor edges.
 	var order []*Node
 	seen := map[*Node]bool{root: true}
 	var dfs func(n *Node)
 	dfs = func(n *Node) {
-		for _, s := range succs(n) {
+		for _, s := range n.Preds {
 			if !seen[s] {
 				seen[s] = true
 				dfs(s)
@@ -249,9 +240,9 @@ func computeDom(root *Node, preds, succs func(*Node) []*Node) *Dominators {
 				continue
 			}
 			var newIdom *Node
-			for _, p := range preds(n) {
+			for _, p := range n.Succs {
 				if _, ok := rpoNum[p]; !ok {
-					continue // unreachable predecessor
+					continue // successor that cannot reach exit
 				}
 				if idom[p] == nil {
 					continue
@@ -351,20 +342,6 @@ func (l *Loop) Stmts() []fortran.Stmt {
 		out = append(out, s)
 		return true
 	})
-	return out
-}
-
-// NestVars returns the induction variables from the outermost
-// enclosing loop down to l.
-func (l *Loop) NestVars() []*fortran.Symbol {
-	var chain []*Loop
-	for x := l; x != nil; x = x.Parent {
-		chain = append(chain, x)
-	}
-	out := make([]*fortran.Symbol, 0, len(chain))
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i].Header())
-	}
 	return out
 }
 

@@ -100,9 +100,9 @@ func TestLoopCFG(t *testing.T) {
 	if !hasBack {
 		t.Error("missing back edge from body to header")
 	}
-	dom := g.ComputeDominators()
-	if !dom.Dominates(header, bodyNode) {
-		t.Error("header should dominate body")
+	pdom := g.ComputePostdominators()
+	if !pdom.Dominates(header, bodyNode) {
+		t.Error("header should postdominate body")
 	}
 }
 
@@ -213,9 +213,8 @@ func TestLoopTree(t *testing.T) {
 		t.Errorf("children = %v", outer.Children)
 	}
 	inner := outer.Children[0]
-	vars := inner.NestVars()
-	if len(vars) != 2 || vars[0].Name != "i" || vars[1].Name != "j" {
-		t.Errorf("NestVars = %v", vars)
+	if nest := inner.Nest(); len(nest) != 2 || nest[0] != outer || nest[1] != inner {
+		t.Errorf("Nest = %v", nest)
 	}
 	// Innermost lookup.
 	assign := inner.Do.Body[0]
@@ -229,7 +228,7 @@ func TestLoopTree(t *testing.T) {
 }
 
 func TestDominatorProperties(t *testing.T) {
-	// Entry dominates everything; every node postdominated by exit.
+	// Every node is postdominated by exit and by itself.
 	u := parseUnit(t, `
       program main
       integer i, j
@@ -245,17 +244,13 @@ func TestDominatorProperties(t *testing.T) {
       end
 `)
 	g := Build(u)
-	dom := g.ComputeDominators()
 	pdom := g.ComputePostdominators()
 	for _, n := range g.Nodes {
-		if !dom.Dominates(g.Entry, n) {
-			t.Errorf("entry does not dominate %v", n)
-		}
 		if !pdom.Dominates(g.Exit, n) {
 			t.Errorf("exit does not postdominate %v", n)
 		}
-		if !dom.Dominates(n, n) {
-			t.Errorf("dominance not reflexive at %v", n)
+		if !pdom.Dominates(n, n) {
+			t.Errorf("postdominance not reflexive at %v", n)
 		}
 	}
 }

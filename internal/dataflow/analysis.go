@@ -7,22 +7,6 @@ import (
 	"parascope/internal/fortran"
 )
 
-// Def is one definition point of a variable.
-type Def struct {
-	ID      int
-	Sym     *fortran.Symbol
-	Node    *cfg.Node
-	Access  Access
-	Partial bool
-}
-
-// Use is one use point of a variable.
-type Use struct {
-	Sym    *fortran.Symbol
-	Node   *cfg.Node
-	Access Access
-}
-
 // Analysis bundles the scalar data-flow results for one unit.
 type Analysis struct {
 	Unit *fortran.Unit
@@ -30,18 +14,11 @@ type Analysis struct {
 	Tree *cfg.LoopTree
 	Eff  SideEffects
 
-	Defs     []*Def
 	accesses map[*cfg.Node][]Access
+	written  map[*fortran.Symbol]bool
 
-	reachIn  map[*cfg.Node]bitset
-	reachOut map[*cfg.Node]bitset
-	liveIn   map[*cfg.Node]map[*fortran.Symbol]bool
-	liveOut  map[*cfg.Node]map[*fortran.Symbol]bool
-
-	// DefUse maps each definition to the uses it reaches; UseDef maps
-	// each use (node, sym) to the definitions reaching it.
-	defUse map[int][]Use
-	useDef map[*cfg.Node]map[*fortran.Symbol][]*Def
+	liveIn  map[*cfg.Node]map[*fortran.Symbol]bool
+	liveOut map[*cfg.Node]map[*fortran.Symbol]bool
 
 	consts map[*cfg.Node]map[*fortran.Symbol]constVal
 }
@@ -58,6 +35,7 @@ func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
 		Tree:     cfg.BuildLoopTree(u),
 		Eff:      eff,
 		accesses: map[*cfg.Node][]Access{},
+		written:  map[*fortran.Symbol]bool{},
 	}
 	for _, n := range a.G.Nodes {
 		if n.Stmt == nil {
@@ -67,13 +45,10 @@ func Analyze(u *fortran.Unit, eff SideEffects) *Analysis {
 		a.accesses[n] = acc
 		for _, ac := range acc {
 			if ac.Write {
-				d := &Def{ID: len(a.Defs), Sym: ac.Sym, Node: n, Access: ac, Partial: ac.Partial}
-				a.Defs = append(a.Defs, d)
+				a.written[ac.Sym] = true
 			}
 		}
 	}
-	a.solveReaching()
-	a.buildDefUse()
 	a.solveLiveness()
 	a.propagateConstants()
 	return a
@@ -84,111 +59,9 @@ func (a *Analysis) Accesses(s fortran.Stmt) []Access {
 	return a.accesses[a.G.NodeFor(s)]
 }
 
-// ---------------------------------------------------------------------------
-// Reaching definitions
-
-func (a *Analysis) solveReaching() {
-	n := len(a.Defs)
-	gen := map[*cfg.Node]bitset{}
-	kill := map[*cfg.Node]bitset{}
-	// Defs per symbol for kill computation.
-	bySym := map[*fortran.Symbol][]*Def{}
-	for _, d := range a.Defs {
-		bySym[d.Sym] = append(bySym[d.Sym], d)
-	}
-	for _, node := range a.G.Nodes {
-		g := newBitset(n)
-		k := newBitset(n)
-		for _, d := range a.Defs {
-			if d.Node == node {
-				g.set(d.ID)
-				if !d.Partial {
-					for _, other := range bySym[d.Sym] {
-						if other != d {
-							k.set(other.ID)
-						}
-					}
-				}
-			}
-		}
-		gen[node] = g
-		kill[node] = k
-	}
-	a.reachIn = map[*cfg.Node]bitset{}
-	a.reachOut = map[*cfg.Node]bitset{}
-	for _, node := range a.G.Nodes {
-		a.reachIn[node] = newBitset(n)
-		a.reachOut[node] = newBitset(n)
-	}
-	changed := true
-	tmp := newBitset(n)
-	for changed {
-		changed = false
-		for _, node := range a.G.Nodes {
-			in := a.reachIn[node]
-			for _, p := range node.Preds {
-				if in.orInto(a.reachOut[p]) {
-					changed = true
-				}
-			}
-			tmp.copyFrom(in)
-			tmp.andNotInto(kill[node])
-			tmp.orInto(gen[node])
-			if !tmp.equal(a.reachOut[node]) {
-				a.reachOut[node].copyFrom(tmp)
-				changed = true
-			}
-		}
-	}
-}
-
-func (a *Analysis) buildDefUse() {
-	a.defUse = map[int][]Use{}
-	a.useDef = map[*cfg.Node]map[*fortran.Symbol][]*Def{}
-	for _, node := range a.G.Nodes {
-		for _, ac := range a.accesses[node] {
-			if ac.Write {
-				continue
-			}
-			u := Use{Sym: ac.Sym, Node: node, Access: ac}
-			a.reachIn[node].forEach(func(i int) {
-				d := a.Defs[i]
-				if d.Sym == ac.Sym {
-					a.defUse[d.ID] = append(a.defUse[d.ID], u)
-					m := a.useDef[node]
-					if m == nil {
-						m = map[*fortran.Symbol][]*Def{}
-						a.useDef[node] = m
-					}
-					m[ac.Sym] = append(m[ac.Sym], d)
-				}
-			})
-		}
-	}
-}
-
-// UsesOf returns the uses reached by definition d.
-func (a *Analysis) UsesOf(d *Def) []Use { return a.defUse[d.ID] }
-
-// DefsReaching returns the definitions of sym that reach the entry of
-// the statement's node.
-func (a *Analysis) DefsReaching(s fortran.Stmt, sym *fortran.Symbol) []*Def {
-	node := a.G.NodeFor(s)
-	if node == nil {
-		return nil
-	}
-	if m := a.useDef[node]; m != nil && m[sym] != nil {
-		return m[sym]
-	}
-	// Fall back to scanning reachIn (covers symbols without a use at s).
-	var out []*Def
-	a.reachIn[node].forEach(func(i int) {
-		if a.Defs[i].Sym == sym {
-			out = append(out, a.Defs[i])
-		}
-	})
-	return out
-}
+// Defined reports whether any statement of the unit writes sym,
+// fully or partially (call side effects included).
+func (a *Analysis) Defined(sym *fortran.Symbol) bool { return a.written[sym] }
 
 // ---------------------------------------------------------------------------
 // Liveness

@@ -32,14 +32,13 @@ func hasUserCall(s fortran.Stmt) bool {
 //   - both statements must be simple (SimpleStmt), so the CFG shape is
 //     unchanged;
 //   - the write accesses must match as a (symbol, partial) multiset,
-//     so reaching-definition gen/kill sets — and the whole bitset
-//     solution — are unchanged;
+//     so the set of symbols the unit writes and the node's liveness
+//     kill set are unchanged;
 //   - no integer scalar may be written, so the constant-propagation
 //     lattice is unchanged.
 //
-// Reads may change freely: the node's def-use chains are rebuilt from
-// the existing reaching solution, and liveness is re-solved only when
-// the set of symbols read actually differs.
+// Reads may change freely: liveness is re-solved only when the set of
+// symbols read actually differs.
 func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 	if !SimpleStmt(old) || !SimpleStmt(new) {
 		return false
@@ -60,65 +59,6 @@ func (a *Analysis) PatchStmt(old, new fortran.Stmt) bool {
 	node.Stmt = new
 	a.accesses[node] = newAcc
 	a.Tree.Reindex(old, new)
-
-	// Re-point the node's Def objects at the matching new write
-	// accesses. IDs and gen/kill are untouched, so reachIn/reachOut
-	// stay valid.
-	var nodeDefs []*Def
-	for _, d := range a.Defs {
-		if d.Node == node {
-			nodeDefs = append(nodeDefs, d)
-		}
-	}
-	i := 0
-	for _, ac := range newAcc {
-		if !ac.Write {
-			continue
-		}
-		for j := i; j < len(nodeDefs); j++ {
-			if nodeDefs[j].Sym == ac.Sym && nodeDefs[j].Partial == ac.Partial {
-				nodeDefs[i], nodeDefs[j] = nodeDefs[j], nodeDefs[i]
-				break
-			}
-		}
-		nodeDefs[i].Access = ac
-		i++
-	}
-
-	// Rebuild the node's use chains against the unchanged reaching
-	// solution.
-	for id, uses := range a.defUse {
-		kept := uses[:0:0]
-		for _, us := range uses {
-			if us.Node != node {
-				kept = append(kept, us)
-			}
-		}
-		if len(kept) == 0 {
-			delete(a.defUse, id)
-		} else {
-			a.defUse[id] = kept
-		}
-	}
-	delete(a.useDef, node)
-	for _, ac := range newAcc {
-		if ac.Write {
-			continue
-		}
-		u := Use{Sym: ac.Sym, Node: node, Access: ac}
-		a.reachIn[node].forEach(func(di int) {
-			d := a.Defs[di]
-			if d.Sym == ac.Sym {
-				a.defUse[d.ID] = append(a.defUse[d.ID], u)
-				m := a.useDef[node]
-				if m == nil {
-					m = map[*fortran.Symbol][]*Def{}
-					a.useDef[node] = m
-				}
-				m[ac.Sym] = append(m[ac.Sym], d)
-			}
-		})
-	}
 
 	if !readSymsEqual(oldAcc, newAcc) {
 		a.solveLiveness()

@@ -1,15 +1,10 @@
 // Package dataflow implements ParaScope's scalar data-flow analyses:
-// variable access extraction, reaching definitions, def-use chains,
-// liveness, constant propagation, scalar privatizability (Kill),
+// variable access extraction, liveness, constant propagation, scalar privatizability (Kill),
 // reduction recognition and the symbolic environment that feeds
 // dependence testing.
 package dataflow
 
-import (
-	"math/bits"
-
-	"parascope/internal/fortran"
-)
+import "parascope/internal/fortran"
 
 // Access is one variable access made by a statement.
 type Access struct {
@@ -18,7 +13,7 @@ type Access struct {
 	Write bool
 	// Partial marks writes that do not overwrite the whole variable
 	// (array element stores, possible call side effects): they
-	// generate a definition but kill nothing.
+	// define the variable but do not end its liveness.
 	Partial bool
 	Stmt    fortran.Stmt
 }
@@ -149,60 +144,5 @@ func collectReads(u *fortran.Unit, e fortran.Expr, s fortran.Stmt, eff SideEffec
 	case *fortran.Binary:
 		collectReads(u, x.X, s, eff, out)
 		collectReads(u, x.Y, s, eff, out)
-	}
-}
-
-// bitset is a fixed-capacity bit vector used by the iterative solvers.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) orInto(src bitset) bool {
-	changed := false
-	for i := range b {
-		old := b[i]
-		b[i] |= src[i]
-		if b[i] != old {
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (b bitset) andNotInto(src bitset) {
-	for i := range b {
-		b[i] &^= src[i]
-	}
-}
-
-func (b bitset) copyFrom(src bitset) { copy(b, src) }
-
-func (b bitset) clone() bitset {
-	out := make(bitset, len(b))
-	copy(out, b)
-	return out
-}
-
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (b bitset) forEach(fn func(i int)) {
-	for w, word := range b {
-		for word != 0 {
-			bit := word & -word
-			i := w*64 + bits.TrailingZeros64(word)
-			fn(i)
-			word ^= bit
-		}
 	}
 }

@@ -391,19 +391,10 @@ func (a *Analyzer) variantFn(nest []*cfg.Loop) func(*fortran.Symbol) bool {
 		if defined == nil {
 			// No common loop: the references execute once each;
 			// loop-variant values from sibling nests differ.
-			return sym.Type != fortran.TypeInteger || symDefinedAnywhere(a.DF, sym)
+			return sym.Type != fortran.TypeInteger || a.DF.Defined(sym)
 		}
 		return defined[sym]
 	}
-}
-
-func symDefinedAnywhere(df *dataflow.Analysis, sym *fortran.Symbol) bool {
-	for _, d := range df.Defs {
-		if d.Sym == sym {
-			return true
-		}
-	}
-	return false
 }
 
 func (a *Analyzer) constsFn(src fortran.Stmt) func(*fortran.Symbol) (int64, bool) {

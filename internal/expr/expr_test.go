@@ -133,10 +133,10 @@ func TestLinearAlgebraProperties(t *testing.T) {
 		if !x.Add(y).Add(z).Equal(x.Add(y.Add(z))) {
 			t.Fatalf("Add not associative")
 		}
-		if !x.Sub(x).IsZero() {
+		if !x.Sub(x).Equal(Con(0)) {
 			t.Fatalf("x - x != 0 for %s", x)
 		}
-		if !x.Scale(3).Sub(x).Sub(x).Sub(x).IsZero() {
+		if !x.Scale(3).Sub(x).Sub(x).Sub(x).Equal(Con(0)) {
 			t.Fatalf("3x - x - x - x != 0 for %s", x)
 		}
 		// Substituting a fresh var for itself is identity.
@@ -200,13 +200,6 @@ func TestEnvEvalRange(t *testing.T) {
 	if !env.ProveNonNegative(l) {
 		t.Error("n-i should be provably non-negative")
 	}
-	if env.ProvePositive(l) {
-		t.Error("n-i is not provably positive (can be 0)")
-	}
-	// 2*i + 1 is never zero.
-	if !env.ProveNonZero(Var(i).Scale(2).Add(Con(1))) {
-		t.Error("2i+1 should be provably nonzero")
-	}
 }
 
 func TestEnvIntersection(t *testing.T) {
@@ -245,25 +238,6 @@ func TestFold(t *testing.T) {
 		e := parseExprIn(t, u, c.src)
 		if got := Fold(e).String(); got != c.want {
 			t.Errorf("Fold(%s) = %q, want %q", c.src, got, c.want)
-		}
-	}
-}
-
-func TestToExprRoundTrip(t *testing.T) {
-	u := testUnit("i", "j", "n")
-	for _, src := range []string{"i + 1", "2*i - 3*j + n", "-i + 4", "7"} {
-		e := parseExprIn(t, u, src)
-		l, ok := Linearize(u, e)
-		if !ok {
-			t.Fatalf("%s: not affine", src)
-		}
-		back := ToExpr(l)
-		l2, ok := Linearize(u, back)
-		if !ok {
-			t.Fatalf("ToExpr(%s) = %s not affine", src, back)
-		}
-		if !l.Equal(l2) {
-			t.Errorf("%s: round trip %s != %s", src, l2, l)
 		}
 	}
 }

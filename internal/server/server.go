@@ -290,16 +290,6 @@ type routeKey struct{}
 
 type routeHolder struct{ pattern string }
 
-// requestIDKey carries the request ID through the request context.
-type requestIDKey struct{}
-
-// RequestIDFrom extracts the request ID placed in the context by the
-// server middleware ("" outside a request).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
 // statusRecorder captures the response status for metrics and logs.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -346,7 +336,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	hold := &routeHolder{}
 	ctx = context.WithValue(ctx, routeKey{}, hold)
-	ctx = context.WithValue(ctx, requestIDKey{}, reqID)
 	r = r.WithContext(ctx)
 	rec := &statusRecorder{ResponseWriter: w}
 	if s.opts.MaxBodyBytes > 0 && r.Body != nil {
