@@ -284,6 +284,12 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 				jobs = append(jobs, job{w, line})
 			}
 		}
+		// Grant the level its share of the fork budget in job order
+		// before any goroutine starts: a search that exhausts
+		// MaxWorlds then explores the same worlds under any schedule.
+		if budget := opts.MaxWorlds - s.forked; len(jobs) > budget {
+			jobs = jobs[:budget]
+		}
 		if len(jobs) == 0 {
 			break
 		}
@@ -299,9 +305,12 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				if ctx.Err() != nil || !s.takeForkBudget() {
+				if ctx.Err() != nil {
 					return
 				}
+				s.mu.Lock()
+				s.forked++
+				s.mu.Unlock()
 				w, err := s.eval(parent, line)
 				if err != nil {
 					s.noteDiscard()
@@ -343,16 +352,6 @@ func Search(ctx context.Context, path, source, unit string, opts Options, obs Ob
 	s.mu.Unlock()
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func (s *searcher) takeForkBudget() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.forked >= s.opts.MaxWorlds {
-		return false
-	}
-	s.forked++
-	return true
 }
 
 func (s *searcher) noteDiscard() {

@@ -2,6 +2,7 @@ package planner_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -148,6 +149,35 @@ func TestSearchRespectsWorldBudget(t *testing.T) {
 	res := search(t, "spec77", planner.Options{MaxWorlds: 3, Interp: false})
 	if res.WorldsForked > 3 {
 		t.Fatalf("forked %d worlds with MaxWorlds=3", res.WorldsForked)
+	}
+}
+
+// TestSearchIsDeterministic: searches that exhaust the world budget
+// return the same ranked plans every time, whatever order the worker
+// goroutines run in, so the plan cache can key on source and options.
+func TestSearchIsDeterministic(t *testing.T) {
+	for _, name := range []string{"shear", "interior"} {
+		var want string
+		for i := 0; i < 20; i++ {
+			res := search(t, name, planner.Options{Workers: 4, Timeout: -1})
+			var b strings.Builder
+			fmt.Fprintf(&b, "forked %d scored %d discarded %d\n",
+				res.WorldsForked, res.WorldsScored, res.WorldsDiscarded)
+			for _, p := range res.Plans {
+				fmt.Fprintf(&b, "%d %s %.9g", p.Rank, p.ID, p.Score)
+				for _, st := range p.Steps {
+					fmt.Fprintf(&b, " | %s", st.Line)
+				}
+				b.WriteString("\n")
+			}
+			if i == 0 {
+				want = b.String()
+				continue
+			}
+			if got := b.String(); got != want {
+				t.Fatalf("%s search %d ranked differently:\n%s\nfirst search:\n%s", name, i+1, got, want)
+			}
+		}
 	}
 }
 
