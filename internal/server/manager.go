@@ -399,10 +399,7 @@ func (m *Manager) Open(ctx context.Context, req OpenRequest) (*Session, OpenResp
 			}
 		}
 	}
-	ss := newSession(id, path, source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, path, source, art, live, jr)
 	m.sessions[id] = ss
 	m.reserved--
 	m.mu.Unlock()

@@ -186,10 +186,7 @@ func (m *Manager) Import(ctx context.Context, id string, stream []byte) (ImportR
 		teardown()
 		return reject(fmt.Errorf("import %s: reanalyzing source: %v", id, err))
 	}
-	ss := newSession(id, base.Path, base.Source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 	if postErr != nil || replayErr != nil {
 		err := replayErr

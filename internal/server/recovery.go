@@ -154,10 +154,7 @@ func (m *Manager) recoverOne(id string, st *RecoveryStats) {
 		m.registerHusk(id, base.Path, fmt.Sprintf("recovery: reopening journal: %v", err), st)
 		return
 	}
-	ss := newSession(id, base.Path, base.Source, art, live, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, jr, m.cfg.SnapshotEvery)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, base.Path, base.Source, art, live, jr)
 	postErr, replayErr := replayJournal(ss, base, res.records[1:])
 
 	m.mu.Lock()
@@ -249,10 +246,7 @@ func (ss *Session) applySnapshot(rec *record) error {
 // removes the journal), but every operation is rejected. The corrupt
 // journal stays on disk for forensics until then.
 func (m *Manager) registerHusk(id, path, reason string, st *RecoveryStats) {
-	ss := newSession(id, path, "", nil, nil, m.cfg.Workers, m.cfg.QueueDepth, m.metrics, nil, 0)
-	ss.planCfg = m.planCfg
-	ss.gov = m.gov
-	ss.runCache = m.cfg.RunCacheDir
+	ss := m.newSession(id, path, "", nil, nil, nil)
 	ss.failRecovery(reason)
 	ss.walOrphan = walPath(m.cfg.DataDir, id)
 	m.mu.Lock()

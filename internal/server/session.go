@@ -112,20 +112,18 @@ type Session struct {
 	workers int
 
 	// metrics receives queue/actor/lifecycle observations; always
-	// non-nil (newSession defaults a private registry).
+	// non-nil (the manager's registry).
 	metrics *Metrics
 
 	// plan is this session's speculative-planner state (latest search
 	// result + one-search latch; own lock, never the actor). planCfg
-	// is the manager-wide admission semaphore and plan cache, set by
-	// the manager right after construction (nil = standalone defaults).
+	// is the manager-wide admission semaphore and plan cache.
 	plan    planState
 	planCfg *planConfig
 
 	// gov is the daemon-wide execution governor (run limits, exec
-	// slots, telemetry), set by the manager right after construction
-	// (nil = standalone defaults, unbounded admission). runCache is
-	// the manager's compile build-cache override (empty = default).
+	// slots, telemetry). runCache is the manager's compile build-cache
+	// override (empty = default).
 	gov      *execguard.Governor
 	runCache string
 
@@ -157,12 +155,14 @@ type task struct {
 	touch bool
 }
 
-func newSession(id, path, source string, art *Artifacts, live *core.Session, workers, queueDepth int, metrics *Metrics, jr *journal, snapEvery int) *Session {
+// newSession builds a session wired to the manager's daemon-wide
+// settings — analysis workers, queue depth, metrics, snapshot cadence,
+// planner admission, execution governor and run cache — and starts its
+// actor. A nil jr makes the session non-durable.
+func (m *Manager) newSession(id, path, source string, art *Artifacts, live *core.Session, jr *journal) *Session {
+	queueDepth := m.cfg.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = defaultQueueDepth
-	}
-	if metrics == nil {
-		metrics = NewMetrics()
 	}
 	ss := &Session{
 		ID:        id,
@@ -171,10 +171,13 @@ func newSession(id, path, source string, art *Artifacts, live *core.Session, wor
 		created:   time.Now(),
 		reqCh:     make(chan task, queueDepth),
 		done:      make(chan struct{}),
-		workers:   workers,
-		metrics:   metrics,
+		workers:   m.cfg.Workers,
+		metrics:   m.metrics,
+		planCfg:   m.planCfg,
+		gov:       m.gov,
+		runCache:  m.cfg.RunCacheDir,
 		jr:        jr,
-		snapEvery: snapEvery,
+		snapEvery: m.cfg.SnapshotEvery,
 	}
 	ss.lastUsed.Store(time.Now().UnixNano())
 	if live != nil {
@@ -399,19 +402,8 @@ func (ss *Session) Export(ctx context.Context) ([]byte, error) {
 			data, opErr = ss.jr.contents()
 			return
 		}
-		snap := &record{Op: recSnapshot, Seq: 1, Time: time.Now().UnixNano(), Path: ss.path}
-		if ss.live != nil {
-			snap.Source = ss.live.Save()
-			snap.Undo = ss.live.UndoStack()
-			if u := ss.live.CurrentUnit(); u != nil {
-				snap.Unit = u.Name
-			}
-			snap.Loop = ss.liveLoopOrdinal()
-		} else {
-			snap.Source = ss.art.Printed
-			snap.Unit = ss.art.Units[ss.curUnit].Name
-			snap.Loop = ss.curLoop
-		}
+		snap := ss.snapshotRecord()
+		snap.Seq, snap.Time = 1, time.Now().UnixNano()
 		data, opErr = encodeRecord(snap)
 	}, false); err != nil {
 		return nil, err
@@ -653,16 +645,9 @@ func (ss *Session) Deps(ctx context.Context, q DepQuery) (DepsResponse, error) {
 
 // Classify overrides a variable's classification (materializes).
 func (ss *Session) Classify(ctx context.Context, req ClassifyRequest) error {
-	var c core.VarClass
-	switch strings.ToLower(req.Class) {
-	case "shared":
-		c = core.ClassShared
-	case "private":
-		c = core.ClassPrivate
-	case "reduction":
-		c = core.ClassReduction
-	default:
-		return fmt.Errorf("unknown class %q", req.Class)
+	c, err := parseVarClass(req.Class)
+	if err != nil {
+		return err
 	}
 	if err := ss.readonlyErr(); err != nil {
 		return err
@@ -681,6 +666,19 @@ func (ss *Session) Classify(ctx context.Context, req ClassifyRequest) error {
 		return err
 	}
 	return opErr
+}
+
+// parseVarClass maps a class name, in any case, to its variable class.
+func parseVarClass(name string) (core.VarClass, error) {
+	switch strings.ToLower(name) {
+	case "shared":
+		return core.ClassShared, nil
+	case "private":
+		return core.ClassPrivate, nil
+	case "reduction":
+		return core.ClassReduction, nil
+	}
+	return 0, fmt.Errorf("unknown class %q", name)
 }
 
 // Transform checks or applies a power-steering transformation via the
@@ -840,6 +838,16 @@ func (ss *Session) maybeSnapshot() {
 		ss.sticky || ss.readonly.Load() {
 		return
 	}
+	if err := ss.jr.rewrite(ss.snapshotRecord()); err != nil {
+		ss.degradeReadOnly(fmt.Sprintf("journal snapshot: %v", err))
+		return
+	}
+	ss.mutsSinceSnap = 0
+}
+
+// snapshotRecord captures the session's source, selection and undo
+// stack as a snapshot record. Actor-confined.
+func (ss *Session) snapshotRecord() *record {
 	snap := &record{Op: recSnapshot, Path: ss.path}
 	if ss.live != nil {
 		snap.Source = ss.live.Save()
@@ -853,11 +861,7 @@ func (ss *Session) maybeSnapshot() {
 		snap.Unit = ss.art.Units[ss.curUnit].Name
 		snap.Loop = ss.curLoop
 	}
-	if err := ss.jr.rewrite(snap); err != nil {
-		ss.degradeReadOnly(fmt.Sprintf("journal snapshot: %v", err))
-		return
-	}
-	ss.mutsSinceSnap = 0
+	return snap
 }
 
 // applyRecord replays one journal record against a rebuilding session.
@@ -884,16 +888,9 @@ func (ss *Session) applyRecord(rec *record) error {
 	case recSelect:
 		_, _ = ss.doSelect(SelectRequest{Unit: rec.Unit, Loop: rec.Loop})
 	case recClassify:
-		var c core.VarClass
-		switch rec.Class {
-		case "shared":
-			c = core.ClassShared
-		case "private":
-			c = core.ClassPrivate
-		case "reduction":
-			c = core.ClassReduction
-		default:
-			return fmt.Errorf("replay: unknown class %q in seq %d", rec.Class, rec.Seq)
+		c, err := parseVarClass(rec.Class)
+		if err != nil {
+			return fmt.Errorf("replay: %v in seq %d", err, rec.Seq)
 		}
 		if err := ss.materialize(); err != nil {
 			return err
