@@ -124,13 +124,11 @@ func (req PlanRequest) options(cfg *planConfig) planner.Options {
 	}
 	if req.TimeoutMs > 0 {
 		opts.Timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	} else if cfg != nil && cfg.timeout > 0 {
+	} else if cfg.timeout > 0 {
 		opts.Timeout = cfg.timeout
 	}
-	if cfg != nil {
-		opts.Gov = cfg.gov
-		opts.CompileCache = cfg.cacheDir
-	}
+	opts.Gov = cfg.gov
+	opts.CompileCache = cfg.cacheDir
 	return opts
 }
 
@@ -172,29 +170,25 @@ func (ss *Session) Plan(ctx context.Context, req PlanRequest) (PlanResponse, err
 	if err != nil {
 		return PlanResponse{}, err
 	}
-	opts := req.options(ss.planCfg)
+	cfg := ss.planCfg
+	opts := req.options(cfg)
 	key := planKey(src, unit, opts)
-	if cfg := ss.planCfg; cfg != nil {
-		if resp, ok := cfg.cache.get(key); ok {
-			resp.SessionID = ss.ID
-			resp.Cached = true
-			ss.plan.store(resp)
-			return resp, nil
-		}
+	if resp, ok := cfg.cache.get(key); ok {
+		resp.SessionID = ss.ID
+		resp.Cached = true
+		ss.plan.store(resp)
+		return resp, nil
 	}
 	if !ss.plan.tryBegin() {
 		return PlanResponse{}, fmt.Errorf("%w: a plan search is already running for this session", ErrPlanConflict)
 	}
-	release := func() {}
-	if cfg := ss.planCfg; cfg != nil {
-		select {
-		case cfg.sem <- struct{}{}:
-			release = func() { <-cfg.sem }
-		default:
-			ss.plan.end()
-			return PlanResponse{}, fmt.Errorf("%w: planner at capacity", ErrQueueFull)
-		}
+	select {
+	case cfg.sem <- struct{}{}:
+	default:
+		ss.plan.end()
+		return PlanResponse{}, fmt.Errorf("%w: planner at capacity", ErrQueueFull)
 	}
+	release := func() { <-cfg.sem }
 	if req.Async {
 		running := PlanResponse{SessionID: ss.ID, Unit: unit,
 			BaseHash: planner.SrcHash(src), Status: "running"}
@@ -241,8 +235,8 @@ func (ss *Session) runSearch(ctx context.Context, path, src, unit string, opts p
 	// injected faults or a transient world wipe-out, and re-running a
 	// search that found nothing is cheap next to serving a stale
 	// nothing forever.
-	if cfg := ss.planCfg; cfg != nil && len(resp.Plans) > 0 {
-		cfg.cache.put(key, resp)
+	if len(resp.Plans) > 0 {
+		ss.planCfg.cache.put(key, resp)
 	}
 	return resp
 }
